@@ -331,11 +331,6 @@ class DirectoryCache:
         if self._metrics is not None:
             self._metrics.inc(self._metrics_node, name)
 
-    @property
-    def _filled_epoch(self) -> int | None:
-        """Single-bucket fill epoch (unsharded diagnostics/back-compat)."""
-        return self._epochs.get(_SINGLE)
-
     def filled_epochs(self) -> dict[str, int]:
         """Per-shard fill epochs (keyed ``""`` when unsharded)."""
         return dict(self._epochs)

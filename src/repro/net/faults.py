@@ -41,11 +41,11 @@ class FaultPlan:
     def active(self) -> bool:
         """True when *anything* is currently broken.
 
-        The transport's fast path checks this once per call: a default
-        (inert) fault plan means every registered pair is reachable and
-        no drop/duplicate/gray rule can match, so the per-message
-        reachability walk can be skipped wholesale. Cheap by
-        construction — truthiness checks on the underlying containers.
+        The transport's delivery helpers check this on every leg: an
+        inert plan means every registered pair is reachable and no
+        drop/duplicate/gray rule can match, so they skip the rule walks
+        wholesale. Cheap by construction — truthiness checks on the
+        underlying containers.
         """
         return bool(
             self._down

@@ -31,9 +31,10 @@ class LatencyModel(ABC):
         """The constant delay this model always returns, if it has one.
 
         Endpoint-, size- and draw-independent models return their
-        constant here so the transport's fast path can skip the
-        ``delay()`` call (and the address lookups feeding it) entirely.
-        Everything else returns None and is consulted per message.
+        constant here so the transport can skip the ``delay()`` call
+        (and the address lookups feeding it) on every leg; it probes
+        this once, at construction. Everything else returns None and is
+        consulted per message.
         """
         return None
 

@@ -38,15 +38,13 @@ once (:meth:`next_dedup` / :meth:`stamp_calls`) and pass it with every
 attempt. :meth:`bump_incarnation` fences a restarted sender: its old
 keys become stale and its sequence numbering restarts.
 
-Fast path (DESIGN.md §5.11): ``Transport(fast=True)`` rebinds
-``rpc``/``rpc_many``/``send`` at construction to allocation-lean
-implementations that engage whenever tracing is off and the fault plan
-is inert — no span context managers, no per-call trace-context probes,
-lazy message ids, and a single constant-latency lookup when the model
-admits one. The fast implementations fall back to the default ones the
-moment tracing is enabled or any fault is active, so fast mode can only
-ever change wall-clock time: virtual time, wire bytes, stats and
-ordering are byte-identical by construction.
+One path (DESIGN.md §5.11): every traffic method runs its legs through
+the same helpers — reachability/drop, delivery accounting, the handler
+invocation primitive (:meth:`Transport._invoke`) and reply accounting.
+Their cheapness lives inside that one path: each helper skips the
+fault-rule walks while the fault plan is inert, and charges the latency
+model's constant (:meth:`LatencyModel.flat_delay`) when it has one. Span
+work costs one attribute check per call site while tracing is off.
 """
 
 from __future__ import annotations
@@ -114,10 +112,6 @@ class Transport:
     Nodes register a handler under their address; peers call
     :meth:`rpc` / :meth:`send`. The transport owns clock advancement for
     network delays and all traffic accounting.
-
-    ``fast=True`` binds the allocation-lean implementations of the
-    traffic methods at construction (see the module docstring); the
-    default binding keeps the fully-instrumented path.
     """
 
     def __init__(
@@ -128,7 +122,6 @@ class Transport:
         stats: NetworkStats | None = None,
         stamp_dedup: bool = True,
         tracer: Tracer | None = None,
-        fast: bool = False,
     ):
         self.clock = clock or VirtualClock()
         self.latency = latency or ConstantLatency(0.001)
@@ -158,25 +151,11 @@ class Transport:
         #: transport piggybacks RPC outcomes into it — every successful
         #: round trip is a sign of life with a network-only RTT sample,
         #: every request-leg failure and deadline overrun is evidence
-        #: against the destination. Fed identically by the default and
-        #: fast paths so suspicion trajectories never depend on the mode.
+        #: against the destination.
         self.health = None
-        #: fast mode: the cheap implementations are bound once, here, so
-        #: the hot path carries no per-call mode branch of its own
-        self.fast = fast
         #: the latency model's endpoint-independent constant, probed once —
         #: None means the model must be consulted per message
         self._flat_delay = self.latency.flat_delay()
-        #: stall component of the most recent reply leg accounted by
-        #: :meth:`_account_reply` — callers holding the rpc span read it
-        #: right after accounting to stamp a ``stall`` attribute, so
-        #: latency attribution can carve the stalled-destination share
-        #: out of wire transit (repro.obs.critical).
-        self._last_reply_stall = 0.0
-        if fast:
-            self.rpc = self._rpc_fast  # type: ignore[method-assign]
-            self.rpc_many = self._rpc_many_fast  # type: ignore[method-assign]
-            self.send = self._send_fast  # type: ignore[method-assign]
 
     # -- registration ------------------------------------------------------
 
@@ -260,29 +239,38 @@ class Transport:
 
     # -- shared delivery internals ----------------------------------------
 
+    # Every leg of every traffic method runs through these helpers, so a
+    # fix here applies to all of them. Each one short-circuits its fault
+    # work when the plan is inert (``faults.active`` is False: no rule can
+    # match, every registered pair is reachable) and charges the latency
+    # model's constant when it has one.
+
     def _undeliverable(self, msg: Message) -> Exception | None:
         """Why ``msg`` cannot be delivered, or None if it can.
 
         The one reachability/drop sequence shared by first deliveries
         (:meth:`_deliver`, which raises and counts) and redeliveries
-        (:meth:`redeliver`, which silently gives up) — a fix or a
-        fast-mode optimization to either applies to both.
+        (:meth:`redeliver`, which silently gives up).
         """
         if msg.dst not in self._handlers:
             return UnreachableError(f"node {msg.dst!r} is not attached to the network")
-        if not self.faults.reachable(msg.src, msg.dst):
+        faults = self.faults
+        if not faults.active:
+            return None
+        if not faults.reachable(msg.src, msg.dst):
             return UnreachableError(f"node {msg.dst!r} is unreachable from {msg.src!r}")
-        if self.faults.should_drop(msg):
+        if faults.should_drop(msg):
             return MessageDropped(f"message {msg.msg_id} ({msg.kind}) dropped by fault rule")
         return None
 
     def _account_delivery(self, msg: Message, advance: bool) -> float:
         """Charge one deliverable leg: delay, clock, stats, taps."""
-        delay = self.latency.delay(self._addresses[msg.src], self._addresses[msg.dst], msg)
+        delay = self._flat_delay
+        if delay is None:
+            delay = self.latency.delay(self._addresses[msg.src], self._addresses[msg.dst], msg)
         if self.faults.active:
             # Gray inflation: slow-node / degraded-link rules add seeded
-            # extra delay on top of the latency model. Zero-cost when no
-            # gray rule exists (empty-dict lookups).
+            # extra delay on top of the latency model.
             delay += self.faults.gray_delay(msg.src, msg.dst)
         if advance:
             self.clock.advance(delay)
@@ -294,9 +282,9 @@ class Transport:
     def _deliver(self, msg: Message, advance: bool = True) -> float:
         """Account one message leg (or raise); returns its delay.
 
-        With ``advance`` the clock moves immediately (the sequential
-        ``rpc``/``send`` path); batched legs pass ``advance=False`` and
-        let :meth:`rpc_many` advance once by the batch maximum.
+        With ``advance`` the clock moves immediately (an unbounded
+        ``rpc``/``send``); deadline-bounded and batched legs pass
+        ``advance=False`` and move the clock themselves.
         """
         if msg.src not in self._addresses:
             raise UnreachableError(f"source node {msg.src!r} not attached")
@@ -308,6 +296,53 @@ class Transport:
                 self.stats.record_unreachable()
             raise failure
         return self._account_delivery(msg, advance)
+
+    def _invoke(
+        self, msg: Message, advance: bool, redelivered: bool = False
+    ) -> tuple[dict[str, Any] | None, Exception | None, float | None, float]:
+        """Run a delivered request's handler and account its reply leg.
+
+        The one handler-invocation primitive behind :meth:`rpc`,
+        :meth:`rpc_hedged`, :meth:`rpc_many` and :meth:`redeliver`.
+        Returns ``(result, error, reply_delay, stall)``:
+
+        * ``result`` — the handler's payload (None if it raised);
+        * ``error`` — what the caller observes: the loss error if the
+          reply leg was lost, else the marshalled remote error (library
+          errors keep their type, anything else becomes
+          :class:`RemoteError`), else None;
+        * ``reply_delay`` — the reply leg's delay, None iff it was lost;
+        * ``stall`` — the stalled-destination share of ``reply_delay``.
+
+        A successful first delivery may be duplicated by the fault plan
+        before its reply is sent. A ``redelivered`` duplicate is never
+        duplicated again, and a handler failure on it sends no reply —
+        nobody is waiting for it.
+        """
+        error: Exception | None = None
+        try:
+            result = self._handlers[msg.dst](msg)
+        except Exception as exc:  # noqa: BLE001 - marshal arbitrary remote failure
+            if redelivered:
+                return None, exc, None, 0.0
+            result = None
+            if isinstance(exc, ReproError):
+                error = type(exc)(*exc.args) if type(exc).__name__ in ERRORS_BY_NAME else exc
+            else:
+                error = RemoteError(type(exc).__name__, str(exc))
+                error.__cause__ = exc
+            reply: dict[str, Any] = {"error": str(exc)}
+        else:
+            if result is None:
+                result = {}
+            if not redelivered:
+                self._maybe_duplicate(msg)
+            reply = result
+        try:
+            delay, stall = self._account_reply(msg, reply, advance)
+        except NetworkError as loss:
+            return result, loss, None, 0.0
+        return result, error, delay, stall
 
     def send(self, src: str, dst: str, kind: str, payload: dict[str, Any]) -> None:
         """One-way message: deliver to the destination handler, ignore result.
@@ -366,81 +401,20 @@ class Transport:
         stops waiting: the clock never advances beyond it on this call,
         and :class:`DeadlineExceeded` is raised instead of the result.
         The wire traffic is still accounted at its real delay — the
-        network was busy whether or not anyone kept listening.
+        network was busy whether or not anyone kept listening. A request
+        leg that overruns never executes the handler (the caller gave up
+        while it was in flight); a reply leg that overruns raises *after*
+        the handler's side effects landed — the usual at-least-once
+        hazard, resolved by the dedup layer on retry. Only a bounded call
+        carries the 8-byte deadline header.
         """
         if dedup is None:
             dedup = self.next_dedup(src, dst)
-        if deadline is not None:
-            return self._rpc_deadline(src, dst, kind, payload, dedup, deadline)
         health = self.health
+        bounded = deadline is not None
         with maybe_span(self.tracer, f"rpc:{kind}", src, dst=dst) as span:
             start = self.clock.now()
-            msg = Message(
-                ("msg", self._ids.next_num("msg")),
-                src,
-                dst,
-                kind,
-                payload,
-                dedup=dedup,
-                trace=self._trace_ctx(),
-            )
-            try:
-                dlv = self._deliver(msg)
-            except (UnreachableError, MessageDropped):
-                if health is not None:
-                    health.record_failure(dst)
-                raise
-            span.set(bytes=msg.size_bytes)
-            try:
-                result = self._handlers[dst](msg)
-            except ReproError as exc:
-                error = type(exc)(*exc.args) if type(exc).__name__ in ERRORS_BY_NAME else exc
-                span.set(outcome="remote_error")
-                self._account_reply(msg, {"error": str(exc)})
-                if self._last_reply_stall:
-                    span.set(stall=round(self._last_reply_stall, 9))
-                raise error
-            except Exception as exc:  # noqa: BLE001 - marshal arbitrary remote failure
-                span.set(outcome="remote_error")
-                self._account_reply(msg, {"error": str(exc)})
-                if self._last_reply_stall:
-                    span.set(stall=round(self._last_reply_stall, 9))
-                raise RemoteError(type(exc).__name__, str(exc)) from exc
-            if result is None:
-                result = {}
-            self._maybe_duplicate(msg)
-            rpl = self._account_reply(msg, result)
-            if self._last_reply_stall:
-                span.set(stall=round(self._last_reply_stall, 9))
-            if health is not None:
-                health.record_success(dst, dlv + rpl)
-            span.set(outcome="ok", delay=round(self.clock.now() - start, 9))
-            return result
-
-    def _rpc_deadline(
-        self,
-        src: str,
-        dst: str,
-        kind: str,
-        payload: dict[str, Any],
-        dedup: tuple[str, int, int] | None,
-        deadline: float,
-    ) -> dict[str, Any]:
-        """:meth:`rpc` under a deadline budget.
-
-        Identical accounting to the unbounded path (stats charge real
-        delays), except the clock advance for any leg is capped at the
-        deadline and :class:`DeadlineExceeded` is raised the moment the
-        budget cannot absorb the leg. A request leg that overruns never
-        executes the handler (the caller gave up while it was in
-        flight); a reply leg that overruns raises *after* the handler's
-        side effects landed — the usual at-least-once hazard, resolved
-        by the dedup layer on retry.
-        """
-        health = self.health
-        with maybe_span(self.tracer, f"rpc:{kind}", src, dst=dst) as span:
-            start = self.clock.now()
-            if start >= deadline:
+            if bounded and start >= deadline:
                 span.set(outcome="deadline")
                 raise DeadlineExceeded(0.0, 0.0, detail=f"rpc:{kind} to {dst} not sent")
             msg = Message(
@@ -454,51 +428,41 @@ class Transport:
                 deadline=deadline,
             )
             try:
-                dlv = self._deliver(msg, advance=False)
+                dlv = self._deliver(msg, advance=not bounded)
             except (UnreachableError, MessageDropped):
                 if health is not None:
                     health.record_failure(dst)
                 raise
             span.set(bytes=msg.size_bytes)
-            if start + dlv > deadline:
-                self.clock.advance(deadline - start)
-                span.set(outcome="deadline")
-                if health is not None:
-                    health.record_failure(dst)
-                raise DeadlineExceeded(
-                    deadline - start,
-                    deadline - start,
-                    detail=f"request leg rpc:{kind} to {dst}",
-                )
-            self.clock.advance(dlv)
-            try:
-                result = self._handlers[dst](msg)
-            except ReproError as exc:
-                error = type(exc)(*exc.args) if type(exc).__name__ in ERRORS_BY_NAME else exc
+            if bounded:
+                if start + dlv > deadline:
+                    self.clock.advance(deadline - start)
+                    span.set(outcome="deadline")
+                    if health is not None:
+                        health.record_failure(dst)
+                    raise DeadlineExceeded(
+                        deadline - start,
+                        deadline - start,
+                        detail=f"request leg rpc:{kind} to {dst}",
+                    )
+                self.clock.advance(dlv)
+            result, error, rpl, stall = self._invoke(msg, advance=not bounded)
+            if rpl is None:  # reply lost after the handler ran
+                if result is None:
+                    span.set(outcome="remote_error")
+                raise error  # type: ignore[misc]
+            if error is not None:
                 span.set(outcome="remote_error")
-                rpl = self._account_reply(msg, {"error": str(exc)}, advance=False)
-                if self._last_reply_stall:
-                    span.set(stall=round(self._last_reply_stall, 9))
+            if stall:
+                span.set(stall=round(stall, 9))
+            if bounded:
                 self._advance_within(rpl, start, deadline, span, health, dst, kind)
+            if error is not None:
                 raise error
-            except Exception as exc:  # noqa: BLE001 - marshal arbitrary remote failure
-                span.set(outcome="remote_error")
-                rpl = self._account_reply(msg, {"error": str(exc)}, advance=False)
-                if self._last_reply_stall:
-                    span.set(stall=round(self._last_reply_stall, 9))
-                self._advance_within(rpl, start, deadline, span, health, dst, kind)
-                raise RemoteError(type(exc).__name__, str(exc)) from exc
-            if result is None:
-                result = {}
-            self._maybe_duplicate(msg)
-            rpl = self._account_reply(msg, result, advance=False)
-            if self._last_reply_stall:
-                span.set(stall=round(self._last_reply_stall, 9))
-            self._advance_within(rpl, start, deadline, span, health, dst, kind)
             if health is not None:
                 health.record_success(dst, dlv + rpl)
             span.set(outcome="ok", delay=round(self.clock.now() - start, 9))
-            return result
+            return result  # type: ignore[return-value]
 
     def _advance_within(
         self, delay: float, start: float, deadline: float, span, health, dst: str, kind: str
@@ -545,9 +509,6 @@ class Transport:
         error-failover mechanism; the caller's replica failover handles
         those. A primary whose *reply* is lost never completes, so the
         hedge always fires for it.
-
-        There is one implementation — never rebound by fast mode — so
-        hedged traffic is byte-identical across transport modes.
         """
         health = self.health
         with maybe_span(
@@ -563,10 +524,6 @@ class Transport:
                 dedup=self.next_dedup(src, primary),
                 trace=self._trace_ctx(),
             )
-            p_result: dict[str, Any] | None = None
-            p_error: Exception | None = None
-            p_total: float | None = None  # None = reply lost, never completes
-            p_stall = b_stall = 0.0  # reply-leg stall per leg, for attribution
             try:
                 dlv = self._deliver(msg, advance=False)
             except (UnreachableError, MessageDropped):
@@ -575,37 +532,9 @@ class Transport:
                 span.set(outcome="undeliverable")
                 raise
             span.set(bytes=msg.size_bytes)
-            try:
-                result = self._handlers[primary](msg)
-            except ReproError as exc:
-                p_error = (
-                    type(exc)(*exc.args) if type(exc).__name__ in ERRORS_BY_NAME else exc
-                )
-                try:
-                    p_total = dlv + self._account_reply(
-                        msg, {"error": str(exc)}, advance=False
-                    )
-                except NetworkError as loss:
-                    p_error, p_total = loss, None
-            except Exception as exc:  # noqa: BLE001 - marshal arbitrary remote failure
-                p_error = RemoteError(type(exc).__name__, str(exc))
-                try:
-                    p_total = dlv + self._account_reply(
-                        msg, {"error": str(exc)}, advance=False
-                    )
-                except NetworkError as loss:
-                    p_error, p_total = loss, None
-            else:
-                if result is None:
-                    result = {}
-                self._maybe_duplicate(msg)
-                try:
-                    p_total = dlv + self._account_reply(msg, result, advance=False)
-                except NetworkError as loss:
-                    p_error, p_total = loss, None
-                else:
-                    p_result = result
-                    p_stall = self._last_reply_stall
+            # A total of None means the reply was lost: never completes.
+            p_result, p_error, rpl, p_stall = self._invoke(msg, advance=False)
+            p_total = None if rpl is None else dlv + rpl
             if p_total is not None and p_total <= hedge_delay:
                 # The primary answered (or errored) before the hedge
                 # timer: no second leg is ever sent.
@@ -633,65 +562,34 @@ class Transport:
                 trace=self._trace_ctx(),
             )
             b_result: dict[str, Any] | None = None
-            b_error: Exception | None = None
-            b_total: float | None = None
+            b_stall = 0.0
             try:
                 bdlv = self._deliver(b_msg, advance=False)
             except (UnreachableError, MessageDropped) as exc:
                 if health is not None:
                     health.record_failure(backup)
-                b_error, b_total = exc, hedge_delay
+                b_error: Exception | None = exc
+                b_total: float | None = hedge_delay
             else:
-                try:
-                    bres = self._handlers[backup](b_msg)
-                except ReproError as exc:
-                    b_error = (
-                        type(exc)(*exc.args)
-                        if type(exc).__name__ in ERRORS_BY_NAME
-                        else exc
-                    )
-                    try:
-                        b_total = hedge_delay + bdlv + self._account_reply(
-                            b_msg, {"error": str(exc)}, advance=False
-                        )
-                    except NetworkError as loss:
-                        b_error, b_total = loss, None
-                except Exception as exc:  # noqa: BLE001 - marshal remote failure
-                    b_error = RemoteError(type(exc).__name__, str(exc))
-                    try:
-                        b_total = hedge_delay + bdlv + self._account_reply(
-                            b_msg, {"error": str(exc)}, advance=False
-                        )
-                    except NetworkError as loss:
-                        b_error, b_total = loss, None
-                else:
-                    if bres is None:
-                        bres = {}
-                    self._maybe_duplicate(b_msg)
-                    try:
-                        b_total = hedge_delay + bdlv + self._account_reply(
-                            b_msg, bres, advance=False
-                        )
-                    except NetworkError as loss:
-                        b_error, b_total = loss, None
-                    else:
-                        b_result = bres
-                        b_stall = self._last_reply_stall
+                b_result, b_error, rpl, b_stall = self._invoke(b_msg, advance=False)
+                b_total = None if rpl is None else hedge_delay + bdlv + rpl
 
             # First successful reply wins; ties favor the primary.
+            p_ok = p_error is None and p_total is not None
+            b_ok = b_error is None and b_total is not None
             winners = []
-            if p_result is not None and p_total is not None:
+            if p_ok:
                 winners.append((p_total, 0))
-            if b_result is not None and b_total is not None:
+            if b_ok:
                 winners.append((b_total, 1))
             if winners:
                 total, which = min(winners)
                 self.clock.advance(total)
                 if health is not None:
                     # Both replies eventually arrive; both are RTT samples.
-                    if p_result is not None and p_total is not None:
+                    if p_ok:
                         health.record_success(primary, p_total)
-                    if b_result is not None and b_total is not None:
+                    if b_ok:
                         health.record_success(backup, b_total - hedge_delay)
                 # The winner's reply is the one the caller's elapsed time
                 # followed, so its stall is the span's stall; the loser's
@@ -763,7 +661,6 @@ class Transport:
             start = self.clock.now()
             remaining = None if deadline is None else max(0.0, deadline - start)
             for call in legs:
-                leg_stall = 0.0
                 dedup = call.dedup if call.dedup is not None else self.next_dedup(src, call.dst)
                 with maybe_span(
                     self.tracer, f"rpc:{call.kind}", src, dst=call.dst
@@ -811,99 +708,53 @@ class Transport:
                             max_delay = remaining
                             batch_stall = remaining
                         continue
-                    try:
-                        result = self._handlers[call.dst](msg)
-                    except ReproError as exc:
-                        error: Exception = (
-                            type(exc)(*exc.args)
-                            if type(exc).__name__ in ERRORS_BY_NAME
-                            else exc
+                    result, error, rpl, leg_stall = self._invoke(msg, advance=False)
+                    if rpl is not None:
+                        delay += rpl
+                    if rpl is None and result is not None:
+                        # The handler ran; its reply never came home.
+                        span.set(outcome="reply_lost", delay=round(delay, 9))
+                        outcomes.append(RpcOutcome(call.dst, False, error=error, delay=delay))
+                    elif error is not None:
+                        if remaining is not None and delay > remaining:
+                            error = DeadlineExceeded(
+                                remaining,
+                                remaining,
+                                detail=f"reply leg rpc:{call.kind} from {call.dst}",
+                            )
+                            delay = remaining
+                            leg_stall = min(leg_stall, delay)
+                        if leg_stall:
+                            span.set(stall=round(leg_stall, 9))
+                        span.set(outcome="remote_error", delay=round(delay, 9))
+                        outcomes.append(RpcOutcome(call.dst, False, error=error, delay=delay))
+                    elif remaining is not None and delay > remaining:
+                        # The caller abandons the wait at the deadline:
+                        # from its seat the whole remaining budget was a
+                        # stall.
+                        leg_stall = remaining
+                        span.set(outcome="deadline", delay=round(remaining, 9))
+                        if health is not None:
+                            health.record_failure(call.dst)
+                        outcomes.append(
+                            RpcOutcome(
+                                call.dst,
+                                False,
+                                error=DeadlineExceeded(
+                                    remaining,
+                                    remaining,
+                                    detail=f"reply leg rpc:{call.kind} from {call.dst}",
+                                ),
+                                delay=remaining,
+                            )
                         )
-                        try:
-                            delay += self._account_reply(
-                                msg, {"error": str(exc)}, advance=False
-                            )
-                        except NetworkError as loss:
-                            error = loss
-                        leg_stall = self._last_reply_stall
-                        if remaining is not None and delay > remaining:
-                            error = DeadlineExceeded(
-                                remaining,
-                                remaining,
-                                detail=f"reply leg rpc:{call.kind} from {call.dst}",
-                            )
-                            delay = remaining
-                            leg_stall = min(leg_stall, delay)
-                        if leg_stall:
-                            span.set(stall=round(leg_stall, 9))
-                        span.set(outcome="remote_error", delay=round(delay, 9))
-                        outcomes.append(RpcOutcome(call.dst, False, error=error, delay=delay))
-                    except Exception as exc:  # noqa: BLE001 - marshal arbitrary remote failure
-                        error = RemoteError(type(exc).__name__, str(exc))
-                        try:
-                            delay += self._account_reply(
-                                msg, {"error": str(exc)}, advance=False
-                            )
-                        except NetworkError as loss:
-                            error = loss
-                        leg_stall = self._last_reply_stall
-                        if remaining is not None and delay > remaining:
-                            error = DeadlineExceeded(
-                                remaining,
-                                remaining,
-                                detail=f"reply leg rpc:{call.kind} from {call.dst}",
-                            )
-                            delay = remaining
-                            leg_stall = min(leg_stall, delay)
-                        if leg_stall:
-                            span.set(stall=round(leg_stall, 9))
-                        span.set(outcome="remote_error", delay=round(delay, 9))
-                        outcomes.append(RpcOutcome(call.dst, False, error=error, delay=delay))
                     else:
-                        if result is None:
-                            result = {}
-                        self._maybe_duplicate(msg)
-                        try:
-                            delay += self._account_reply(msg, result, advance=False)
-                        except NetworkError as loss:
-                            span.set(outcome="reply_lost", delay=round(delay, 9))
-                            outcomes.append(
-                                RpcOutcome(call.dst, False, error=loss, delay=delay)
-                            )
-                        else:
-                            leg_stall = self._last_reply_stall
-                            if remaining is not None and delay > remaining:
-                                # The caller abandons the wait at the
-                                # deadline: from its seat the whole
-                                # remaining budget was a stall.
-                                leg_stall = remaining
-                                span.set(outcome="deadline", delay=round(remaining, 9))
-                                if health is not None:
-                                    health.record_failure(call.dst)
-                                outcomes.append(
-                                    RpcOutcome(
-                                        call.dst,
-                                        False,
-                                        error=DeadlineExceeded(
-                                            remaining,
-                                            remaining,
-                                            detail=(
-                                                f"reply leg rpc:{call.kind} "
-                                                f"from {call.dst}"
-                                            ),
-                                        ),
-                                        delay=remaining,
-                                    )
-                                )
-                            else:
-                                if leg_stall:
-                                    span.set(stall=round(min(leg_stall, delay), 9))
-                                span.set(outcome="ok", delay=round(delay, 9))
-                                if health is not None:
-                                    health.record_success(call.dst, delay)
-                                outcomes.append(
-                                    RpcOutcome(call.dst, True, value=result, delay=delay)
-                                )
+                        if leg_stall:
+                            span.set(stall=round(min(leg_stall, delay), 9))
+                        span.set(outcome="ok", delay=round(delay, 9))
+                        if health is not None:
+                            health.record_success(call.dst, delay)
+                        outcomes.append(RpcOutcome(call.dst, True, value=result, delay=delay))
                     if delay > max_delay:
                         max_delay = delay
                         batch_stall = leg_stall
@@ -916,218 +767,12 @@ class Transport:
         self.stats.record_batch(len(legs), max_delay)
         return outcomes
 
-    # -- fast-path implementations -----------------------------------------
-
-    # Bound over rpc/rpc_many/send by ``Transport(fast=True)``. Contract
-    # (DESIGN.md §5.11): engage only when tracing is off AND the fault
-    # plan is inert; otherwise delegate to the default implementation.
-    # Within that window every observable — virtual time, wire bytes,
-    # stats/registry state, id sequences, tap order, dedup keys — is
-    # identical to the default path; only Python-level overhead differs.
-
-    def _fast_eligible(self) -> bool:
-        """Can the cheap path run right now? (tracing off, faults inert)"""
-        tracer = self.tracer
-        return (tracer is None or not tracer.enabled) and not self.faults.active
-
-    def _rpc_fast(
-        self,
-        src: str,
-        dst: str,
-        kind: str,
-        payload: dict[str, Any],
-        dedup: tuple[str, int, int] | None = None,
-        deadline: float | None = None,
-    ) -> dict[str, Any]:
-        """Allocation-lean :meth:`rpc` for the tracing-off, no-fault window."""
-        tracer = self.tracer
-        if (
-            (tracer is not None and tracer.enabled)
-            or self.faults.active
-            or deadline is not None
-        ):
-            return Transport.rpc(self, src, dst, kind, payload, dedup, deadline)
-        # Id/seq allocation strictly precedes the reachability checks, as in
-        # the default path — an unreachable call must consume the same
-        # dedup seq and message id in both modes.
-        if dedup is None and self.stamp_dedup:
-            pair = (src, dst)
-            seq = self._seqs.get(pair, 0) + 1
-            self._seqs[pair] = seq
-            dedup = (src, self._incarnations.get(src, 1), seq)
-        ids = self._ids
-        clock = self.clock
-        stats = self.stats
-        msg = Message(("msg", ids.next_num("msg")), src, dst, kind, payload, dedup=dedup)
-        addresses = self._addresses
-        if src not in addresses:
-            raise UnreachableError(f"source node {src!r} not attached")
-        handler = self._handlers.get(dst)
-        if handler is None:
-            stats.record_unreachable()
-            if self.health is not None:
-                self.health.record_failure(dst)
-            raise UnreachableError(f"node {dst!r} is not attached to the network")
-        flat = self._flat_delay
-        delay = flat if flat is not None else self.latency.delay(
-            addresses[src], addresses[dst], msg
-        )
-        clock.advance(delay)
-        stats.record_delivery(kind, msg.size_bytes, delay, False)
-        for tap in self.taps:
-            tap(msg)
-        try:
-            result = handler(msg)
-        except ReproError as exc:
-            error = type(exc)(*exc.args) if type(exc).__name__ in ERRORS_BY_NAME else exc
-            self._account_reply(msg, {"error": str(exc)})
-            raise error
-        except Exception as exc:  # noqa: BLE001 - marshal arbitrary remote failure
-            self._account_reply(msg, {"error": str(exc)})
-            raise RemoteError(type(exc).__name__, str(exc)) from exc
-        if result is None:
-            result = {}
-        # No duplicate-delivery probe: an inert fault plan has no dup rules.
-        reply = Message(("msg", ids.next_num("msg")), dst, src, kind, result, is_reply=True)
-        rdelay = flat if flat is not None else self.latency.delay(
-            addresses[dst], addresses[src], reply
-        )
-        clock.advance(rdelay)
-        stats.record_delivery(kind, reply.size_bytes, rdelay, True)
-        for tap in self.taps:
-            tap(reply)
-        if self.health is not None:
-            self.health.record_success(dst, delay + rdelay)
-        return result
-
-    def _send_fast(self, src: str, dst: str, kind: str, payload: dict[str, Any]) -> None:
-        """Allocation-lean :meth:`send` for the tracing-off, no-fault window."""
-        tracer = self.tracer
-        if (tracer is not None and tracer.enabled) or self.faults.active:
-            return Transport.send(self, src, dst, kind, payload)
-        # Message id allocated before the checks — see _rpc_fast.
-        msg = Message(("msg", self._ids.next_num("msg")), src, dst, kind, payload)
-        addresses = self._addresses
-        if src not in addresses:
-            raise UnreachableError(f"source node {src!r} not attached")
-        handler = self._handlers.get(dst)
-        if handler is None:
-            self.stats.record_unreachable()
-            raise UnreachableError(f"node {dst!r} is not attached to the network")
-        flat = self._flat_delay
-        delay = flat if flat is not None else self.latency.delay(
-            addresses[src], addresses[dst], msg
-        )
-        self.clock.advance(delay)
-        self.stats.record_delivery(kind, msg.size_bytes, delay, False)
-        for tap in self.taps:
-            tap(msg)
-        try:
-            handler(msg)
-        except Exception:  # noqa: BLE001 - remote failure, invisible to sender
-            self.stats.record_send_failure()
-
-    def _rpc_many_fast(
-        self,
-        src: str,
-        calls: Sequence[RpcCall | tuple[str, str, dict[str, Any]]],
-        deadline: float | None = None,
-    ) -> list[RpcOutcome]:
-        """Allocation-lean :meth:`rpc_many` for the tracing-off, no-fault window."""
-        tracer = self.tracer
-        if (
-            (tracer is not None and tracer.enabled)
-            or self.faults.active
-            or deadline is not None
-        ):
-            return Transport.rpc_many(self, src, calls, deadline)
-        legs = [c if isinstance(c, RpcCall) else RpcCall(*c) for c in calls]
-        if not legs:
-            return []
-        addresses = self._addresses
-        if src not in addresses:
-            raise UnreachableError(f"source node {src!r} not attached")
-        handlers = self._handlers
-        ids = self._ids
-        stats = self.stats
-        taps = self.taps
-        stamp = self.stamp_dedup
-        seqs = self._seqs
-        incarnation = self._incarnations.get(src, 1)
-        flat = self._flat_delay
-        outcomes: list[RpcOutcome] = []
-        max_delay = 0.0
-        for call in legs:
-            dst = call.dst
-            dedup = call.dedup
-            if dedup is None and stamp:
-                pair = (src, dst)
-                seq = seqs.get(pair, 0) + 1
-                seqs[pair] = seq
-                dedup = (src, incarnation, seq)
-            msg = Message(
-                ("msg", ids.next_num("msg")), src, dst, call.kind, call.payload, dedup=dedup
-            )
-            handler = handlers.get(dst)
-            if handler is None:
-                stats.record_unreachable()
-                if self.health is not None:
-                    self.health.record_failure(dst)
-                outcomes.append(
-                    RpcOutcome(
-                        dst,
-                        False,
-                        error=UnreachableError(
-                            f"node {dst!r} is not attached to the network"
-                        ),
-                    )
-                )
-                continue
-            delay = flat if flat is not None else self.latency.delay(
-                addresses[src], addresses[dst], msg
-            )
-            stats.record_delivery(call.kind, msg.size_bytes, delay, False)
-            for tap in taps:
-                tap(msg)
-            try:
-                result = handler(msg)
-            except ReproError as exc:
-                error: Exception = (
-                    type(exc)(*exc.args) if type(exc).__name__ in ERRORS_BY_NAME else exc
-                )
-                delay += self._account_reply(msg, {"error": str(exc)}, advance=False)
-                outcomes.append(RpcOutcome(dst, False, error=error, delay=delay))
-            except Exception as exc:  # noqa: BLE001 - marshal arbitrary remote failure
-                error = RemoteError(type(exc).__name__, str(exc))
-                delay += self._account_reply(msg, {"error": str(exc)}, advance=False)
-                outcomes.append(RpcOutcome(dst, False, error=error, delay=delay))
-            else:
-                if result is None:
-                    result = {}
-                reply = Message(
-                    ("msg", ids.next_num("msg")), dst, src, call.kind, result, is_reply=True
-                )
-                rdelay = flat if flat is not None else self.latency.delay(
-                    addresses[dst], addresses[src], reply
-                )
-                delay += rdelay
-                stats.record_delivery(call.kind, reply.size_bytes, rdelay, True)
-                for tap in taps:
-                    tap(reply)
-                if self.health is not None:
-                    self.health.record_success(dst, delay)
-                outcomes.append(RpcOutcome(dst, True, value=result, delay=delay))
-            if delay > max_delay:
-                max_delay = delay
-        self.clock.advance(max_delay)
-        stats.record_batch(len(legs), max_delay)
-        return outcomes
-
     # -- duplicate delivery (fault model) ----------------------------------
 
     def _maybe_duplicate(self, msg: Message) -> None:
         """Inline duplicate: re-dispatch a just-delivered request once."""
-        if msg.is_reply or not self.faults.should_duplicate(msg):
+        faults = self.faults
+        if msg.is_reply or not faults.active or not faults.should_duplicate(msg):
             return
         self.redeliver(msg, advance=False)
 
@@ -1141,10 +786,11 @@ class Transport:
         are swallowed: the network produced it, no caller is waiting.
         Never cascades (a redelivery is not itself duplicated).
 
-        Shares :meth:`_undeliverable` / :meth:`_account_delivery` with
-        the first-delivery path; the only differences are the silent
-        give-up (no raise, no dropped/unreachable counters — nobody is
-        waiting) and the extra ``duplicates`` counter.
+        Shares :meth:`_undeliverable`, :meth:`_account_delivery` and
+        :meth:`_invoke` with the first-delivery path; the only
+        differences are the silent give-up (no raise, no
+        dropped/unreachable counters — nobody is waiting) and the extra
+        ``duplicates`` counter.
         """
         if msg.src not in self._addresses or self._undeliverable(msg) is not None:
             return
@@ -1164,21 +810,19 @@ class Transport:
             self.tracer, "net.redeliver", msg.src, dst=msg.dst, kind=msg.kind,
             deferred=True,
         ):
-            try:
-                result = self._handlers[msg.dst](msg)
-            except Exception:  # noqa: BLE001 - nobody is waiting for this outcome
-                return
-            try:
-                self._account_reply(msg, result if result is not None else {}, advance=False)
-            except NetworkError:
-                pass
+            self._invoke(msg, advance=False, redelivered=True)
 
     # -- reply accounting --------------------------------------------------
 
     def _account_reply(
         self, request: Message, payload: dict[str, Any], advance: bool = True
-    ) -> float:
+    ) -> tuple[float, float]:
         """Account the reply leg of ``request``; raises if it is lost.
+
+        Returns ``(delay, stall)`` — the reply leg's delay and the part
+        of it a stalled destination added, so span holders can carve the
+        stalled-destination share out of wire transit
+        (repro.obs.critical).
 
         The reply can fail independently of the request: the requester
         went down/partitioned away mid-call (``UnreachableError``) or a
@@ -1189,7 +833,6 @@ class Transport:
         meaning "request legs that failed") and reply-loss taps fire so
         chaos can queue both endpoints for reconciliation.
         """
-        self._last_reply_stall = 0.0
         reply = Message(
             ("msg", self._ids.next_num("msg")),
             request.dst,
@@ -1198,38 +841,41 @@ class Transport:
             payload,
             is_reply=True,
         )
-        if not self.faults.reachable(request.dst, request.src):
+        faults = self.faults
+        active = faults.active
+        if active and not faults.reachable(request.dst, request.src):
             self.stats.record_reply_lost()
             for tap in self.reply_loss_taps:
                 tap(reply)
             raise UnreachableError(
                 f"reply to {request.src!r} lost: unreachable from {request.dst!r}"
             )
-        if self.faults.should_drop(reply):
+        if active and faults.should_drop(reply):
             self.stats.record_reply_lost()
             for tap in self.reply_loss_taps:
                 tap(reply)
             raise MessageDropped(
                 f"reply {reply.msg_id} ({reply.kind}) dropped by fault rule"
             )
-        delay = self.latency.delay(
-            self._addresses[request.dst], self._addresses[request.src], reply
-        )
+        delay = self._flat_delay
+        if delay is None:
+            delay = self.latency.delay(
+                self._addresses[request.dst], self._addresses[request.src], reply
+            )
         stall = 0.0
-        if self.faults.active:
+        if active:
             # Gray inflation on the reply leg, plus the stall penalty: a
             # stalled node executed the handler (side effects landed, it
             # looks alive to liveness probes) but its reply crawls home.
             # Loopback is exempt (like gray_delay): a self-invocation
             # never traverses the wedged network-facing reply path.
-            delay += self.faults.gray_delay(request.dst, request.src)
+            delay += faults.gray_delay(request.dst, request.src)
             if request.dst != request.src:
-                stall = self.faults.stall_delay(request.dst)
+                stall = faults.stall_delay(request.dst)
                 delay += stall
-        self._last_reply_stall = stall
         if advance:
             self.clock.advance(delay)
         self.stats.record_delivery(reply.kind, reply.size_bytes, delay, True)
         for tap in self.taps:
             tap(reply)
-        return delay
+        return delay, stall

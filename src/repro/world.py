@@ -66,7 +66,6 @@ class SyDWorld:
         recovery: bool = True,
         tracing: bool = True,
         trace_sample: int = 1,
-        fast: bool = False,
         directory_shards: int = 1,
         directory_replicas: int = 1,
         health: bool = False,
@@ -89,16 +88,11 @@ class SyDWorld:
         #: ``trace_sample=k`` records every k-th root trace only.
         self.tracer = Tracer(self.clock, sample=trace_sample)
         self.tracer.enabled = tracing
-        #: fast mode (DESIGN.md §5.11): bind the transport's allocation-lean
-        #: traffic methods. Only wall-clock changes — virtual time, wire
-        #: bytes, stats and ordering stay byte-identical to the default.
-        self.fast = fast
         self.transport = Transport(
             clock=self.clock,
             latency=latency,
             stats=NetworkStats(self.metrics),
             tracer=self.tracer,
-            fast=fast,
         )
         # Scheduler-fired callbacks (lease sweeps, chaos fault events,
         # redeliveries) run with a detached span stack: they are their own
@@ -136,11 +130,10 @@ class SyDWorld:
             self.directory_listener = SyDListener(
                 directory_node, dedup=directory_dedup, tracer=self.tracer, metrics=self.metrics
             )
-            self._directory_listener = self.directory_listener  # backwards-compat alias
-            self._directory_listener.publish_object(self.directory_service)
+            self.directory_listener.publish_object(self.directory_service)
             self.transport.register(
                 NodeAddress(directory_node, DeviceClass.SERVER),
-                lambda msg: self._directory_listener.handle_invoke(msg),
+                self.directory_listener.handle_invoke,
             )
         else:
             from repro.kernel.sharding import ShardedDirectory
@@ -159,7 +152,6 @@ class SyDWorld:
             # injectors and invariant checkers read as ground truth.
             self.directory_service = self.directory_topology
             self.directory_listener = None
-            self._directory_listener = None
         #: adaptive robustness layer (off by default — zero hot-path cost
         #: when ``transport.health is None``): a phi-accrual
         #: HealthMonitor fed by piggybacked RPC outcomes and message-free

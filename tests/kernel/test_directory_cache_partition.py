@@ -32,7 +32,7 @@ def cut_off(world, user):
 def test_epoch_change_behind_a_partition_converges_after_heal(world):
     phil = world.node("phil")
     phil.directory.lookup_user("andy")  # fill the cache
-    filled_epoch = phil.directory.cache._filled_epoch
+    filled_epoch = phil.directory.cache.filled_epochs()[""]
     assert filled_epoch == world.directory_service.epoch
 
     cut_off(world, "phil")
@@ -44,7 +44,7 @@ def test_epoch_change_behind_a_partition_converges_after_heal(world):
     world.transport.faults.heal_partition()
     record = phil.directory.lookup_user("andy")
     assert record["proxy_node"] == "proxy-9"
-    assert phil.directory.cache._filled_epoch == world.directory_service.epoch
+    assert phil.directory.cache.filled_epochs()[""] == world.directory_service.epoch
 
 
 def test_partitioned_lookup_of_uncached_user_fails(world):
@@ -65,4 +65,4 @@ def test_group_formation_behind_partition_invalidates_peer_caches(world):
     # phil's next lookup revalidates against the bumped epoch and sees
     # the new group through a fresh cache fill.
     assert phil.directory.group_members("biology") == ["andy", "suzy"]
-    assert phil.directory.cache._filled_epoch == world.directory_service.epoch
+    assert phil.directory.cache.filled_epochs()[""] == world.directory_service.epoch

@@ -1,17 +1,24 @@
 """Tests for the simulated transport."""
 
+import random
+
 import pytest
 
+from repro.calendar.app import SyDCalendarApp
 from repro.net.address import DeviceClass, NodeAddress
 from repro.net.faults import FaultPlan
-from repro.net.latency import ConstantLatency
+from repro.net.latency import CampusNetworkLatency, ConstantLatency
 from repro.net.transport import Transport
+from repro.util.clock import VirtualClock
 from repro.util.errors import (
     MessageDropped,
     RemoteError,
+    ReproError,
     SlotUnavailableError,
     UnreachableError,
 )
+from repro.util.trace import Tracer
+from repro.world import SyDWorld
 
 
 def make_transport(latency=0.001):
@@ -197,3 +204,93 @@ class TestErrorMarshalling:
         attach(t, "a")
         attach(t, "b", handler=lambda m: None)
         assert t.rpc("a", "b", "x", {}) == {}
+
+
+class TestTracingToggle:
+    def test_enabling_tracing_midway_falls_back_per_call(self):
+        """Tracing is read per call: flipping the tracer on makes the next
+        calls produce spans, with no rebuild of the world."""
+        world = SyDWorld(seed=3, tracing=False)
+        app = SyDCalendarApp(world)
+        app.add_user("a")
+        app.add_user("b")
+        app.manager("a").schedule_meeting("m1", ["b"])
+        assert world.tracer.spans() == []
+        world.tracer.enabled = True
+        app.manager("b").schedule_meeting("m2", ["a"])
+        assert len(world.tracer.spans()) > 0
+
+
+def _drive(latency, armed: bool, tracing: bool):
+    """Mixed traffic through one transport; returns everything observable.
+
+    ``armed`` installs a drop rule that never matches: the plan is then
+    active, so every helper walks its fault rules instead of taking the
+    inert-plan short-circuit — and must reach the same verdicts.
+    """
+    clock = VirtualClock()
+    tracer = Tracer(clock)
+    tracer.enabled = tracing
+    t = Transport(clock=clock, latency=latency, tracer=tracer)
+    if armed:
+        t.faults.add_drop_rule(lambda m: False)
+        assert t.faults.active
+    else:
+        assert not t.faults.active
+    legs = []
+    t.taps.append(
+        lambda m: legs.append(
+            (m.msg_id, m.src, m.dst, m.kind, m.is_reply, m.dedup, m.size_bytes, clock.now())
+        )
+    )
+
+    def failing(msg):
+        raise SlotUnavailableError("taken")
+
+    attach(t, "a")
+    attach(t, "b", device=DeviceClass.PDA)
+    attach(t, "c", device=DeviceClass.SERVER)
+    attach(t, "x", handler=failing)
+    results = [
+        t.rpc("a", "b", "ping", {"n": 1}),
+        t.rpc("a", "c", "ping", {"n": 2}, deadline=clock.now() + 5.0),
+        t.rpc("b", "b", "self", {}),
+        [(o.dst, o.ok, o.value, type(o.error).__name__, o.delay) for o in t.rpc_many(
+            "a",
+            [("b", "read", {"k": 1}), ("c", "read", {"k": 2}), ("x", "read", {}),
+             ("ghost", "read", {})],
+        )],
+        t.send("c", "a", "note", {"s": "hi"}),
+        t.rpc_hedged("a", "b", "c", "read", {"k": 3}, hedge_delay=0.0),
+        t.rpc_hedged("a", "c", "b", "read", {"k": 4}, hedge_delay=10.0),
+    ]
+    for call in (
+        lambda: t.rpc("a", "x", "reserve", {}),
+        lambda: t.rpc("a", "ghost", "ping", {}),
+        lambda: t.rpc("a", "b", "ping", {}, deadline=clock.now() + 1e-6),
+    ):
+        with pytest.raises(ReproError) as exc_info:
+            call()
+        results.append(str(exc_info.value))
+    seqs = [t.next_dedup("a", dst) for dst in ("b", "c", "x")]
+    spans = [(s.name, s.start, s.end, s.attrs) for s in tracer.spans()]
+    return results, legs, seqs, spans, t.stats.snapshot(), clock.now()
+
+
+class TestInertFaultShortCircuit:
+    @pytest.mark.parametrize("tracing", (False, True), ids=("no-tracing", "tracing"))
+    @pytest.mark.parametrize(
+        "latency",
+        (
+            lambda: ConstantLatency(0.01),
+            lambda: CampusNetworkLatency(rng=random.Random(5)),
+        ),
+        ids=("flat", "campus"),
+    )
+    def test_inert_plan_matches_full_fault_walk(self, latency, tracing):
+        inert = _drive(latency(), armed=False, tracing=tracing)
+        walked = _drive(latency(), armed=True, tracing=tracing)
+        assert inert == walked
+        results, legs, _seqs, spans, stats, _now = inert
+        assert stats.messages == len(legs) > 0
+        assert (len(spans) > 0) is tracing
