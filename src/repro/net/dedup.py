@@ -22,7 +22,10 @@ the at-least-once transport:
 * a per-sender *watermark* (highest contiguous seq processed) bounds the
   cache: entries far below the watermark are pruned, and a key at or
   below the watermark whose reply was pruned is *suppressed* (typed
-  :class:`StaleMessageError`) rather than re-executed;
+  :class:`StaleMessageError`) rather than re-executed. Pruning is indexed:
+  a min-heap of recorded seqs per ``(sender, incarnation)`` pair names
+  exactly the keys that fall below the floor, so a dispatch costs
+  O(keys pruned), never a scan of the reply cache;
 * *incarnation fencing*: a restarted sender bumps its incarnation epoch
   and restarts seq at 1. Keys from older incarnations are fenced, so a
   delayed pre-crash duplicate can never corrupt post-restart state, and
@@ -31,14 +34,17 @@ the at-least-once transport:
 The watermark state (incarnation, contiguous seq, processed-out-of-order
 set) is persisted through the node's own data store — and therefore
 through the WAL journal chaos episodes attach — via
-:class:`DedupPersistence`, so it survives participant restarts. The
-reply cache itself is volatile, like the lock table: after a restart a
-duplicate of a pre-crash request is suppressed (at-most-once for that
-key) instead of replayed, which is still safe.
+:class:`DedupPersistence`, so it survives participant restarts. Each
+save is one store write: a primary-key ``update``, or an ``insert`` on a
+sender's first sighting. The reply cache itself is volatile, like the
+lock table: after a restart a duplicate of a pre-crash request is
+suppressed (at-most-once for that key) instead of replayed, which is
+still safe.
 """
 
 from __future__ import annotations
 
+import heapq
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Any
@@ -80,6 +86,10 @@ class DedupTable:
         self.window = window
         self.persist = persist
         self._replies: OrderedDict[tuple[str, int, int], dict[str, Any]] = OrderedDict()
+        #: min-heap of the seqs recorded per (sender, incarnation): every
+        #: key of that pair in ``_replies``, and at times seqs already
+        #: evicted, which go once the floor or a later eviction reaches them
+        self._seqs: dict[tuple[str, int], list[int]] = {}
         self._senders: dict[str, _SenderState] = {}
         self.hits = 0
         self.executions = 0
@@ -127,11 +137,20 @@ class DedupTable:
         """Cache the reply of an executed key and advance the watermark."""
         self.executions += 1
         state = self._senders.setdefault(sender, _SenderState(incarnation))
-        self._replies[(sender, incarnation, seq)] = reply
-        self._replies.move_to_end((sender, incarnation, seq))
+        key = (sender, incarnation, seq)
+        self._replies[key] = reply
+        self._replies.move_to_end(key)
+        heap = self._seqs.setdefault((sender, incarnation), [])
+        heapq.heappush(heap, seq)
         while len(self._replies) > self.capacity:
-            self._replies.popitem(last=False)
+            (old_sender, old_inc, _), _ = self._replies.popitem(last=False)
             self.evicted += 1
+            # LRU order is mostly seq order, so the evicted key is usually
+            # its pair's lowest seq: drop uncached heads to keep the index
+            # the size of the cache.
+            old = self._seqs[(old_sender, old_inc)]
+            while old and (old_sender, old_inc, old[0]) not in self._replies:
+                heapq.heappop(old)
         if seq == state.contig + 1:
             state.contig = seq
             while state.contig + 1 in state.pending:
@@ -143,12 +162,8 @@ class DedupTable:
         # point can no longer be needed by an in-flight retry.
         floor = state.contig - self.window
         if floor > 0:
-            for key in [
-                k
-                for k in self._replies
-                if k[0] == sender and k[1] == incarnation and k[2] <= floor
-            ]:
-                del self._replies[key]
+            while heap and heap[0] <= floor:
+                self._replies.pop((sender, incarnation, heapq.heappop(heap)), None)
         if self.persist is not None:
             self.persist.save(sender, state)
 
@@ -159,13 +174,13 @@ class DedupTable:
         lost; the persisted watermarks are reloaded (empty without a
         persistence adapter)."""
         self._replies.clear()
+        self._seqs.clear()
         self._senders = self.persist.load() if self.persist is not None else {}
 
     def _prune_sender(self, sender: str, incarnation: int) -> None:
-        for key in [
-            k for k in self._replies if k[0] == sender and k[1] <= incarnation
-        ]:
-            del self._replies[key]
+        for pair in [p for p in self._seqs if p[0] == sender and p[1] <= incarnation]:
+            for seq in self._seqs.pop(pair):
+                self._replies.pop((sender, pair[1], seq), None)
 
     # -- introspection ---------------------------------------------------------
 
@@ -215,10 +230,8 @@ class DedupPersistence:
             "contig": state.contig,
             "pending": sorted(state.pending),
         }
-        if self.store.get(self.TABLE, sender) is None:
+        if not self.store.update(self.TABLE, where("sender") == sender, fields):
             self.store.insert(self.TABLE, {"sender": sender, **fields})
-        else:
-            self.store.update(self.TABLE, where("sender") == sender, fields)
 
     def load(self) -> dict[str, _SenderState]:
         return {
