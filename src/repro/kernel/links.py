@@ -219,12 +219,30 @@ class SyDLinks:
         return [Link.from_row(r) for r in self.store.select(LINKS_TABLE)]
 
     def links_by_context(self, key: str, value: Any) -> list[Link]:
-        """Owned links whose ``context[key] == value``."""
-        return [ln for ln in self.all_links() if ln.context.get(key) == value]
+        """Owned links whose ``context[key] == value``, in link-id order.
+
+        Filters the raw ``SyD_Links`` rows, then rehydrates only the
+        matches. ``Link.from_row`` passes ``context`` through unchanged,
+        so the row-level compare equals the Link-level one on every
+        store backend.
+        """
+        return [
+            Link.from_row(r)
+            for r in self.store.select(LINKS_TABLE)
+            if (r["context"] or {}).get(key) == value
+        ]
 
     def links_for_entity(self, entity: Any) -> list[Link]:
-        """Owned links triggered by changes of ``entity``."""
-        return [ln for ln in self.all_links() if ln.source_entity == entity]
+        """Owned links triggered by changes of ``entity``, in link-id order.
+
+        Filters rows on ``source_entity`` (passed through unchanged by
+        ``Link.from_row``), then rehydrates only the matches.
+        """
+        return [
+            Link.from_row(r)
+            for r in self.store.select(LINKS_TABLE)
+            if r["source_entity"] == entity
+        ]
 
     def waiting_entries(self, blocking_link: str | None = None) -> list[dict[str, Any]]:
         pred = where("blocking_link") == blocking_link if blocking_link else None
@@ -375,14 +393,22 @@ class SyDLinks:
         return len(doomed)
 
     def cascade_delete(self, cascade_id: str, visited: list[str]) -> int:
-        """Delete every owned link with ``cascade_id`` and keep cascading."""
+        """Delete every owned link with ``cascade_id`` and keep cascading.
+
+        Doomed are the links whose ``context["cascade_id"]`` matches, then
+        the link whose id is ``cascade_id`` (one primary-key lookup).
+        """
         self.cascades_received += 1
         with maybe_span(
             self._tracer, "links.cascade", self.user, cascade=cascade_id
         ) as span:
-            doomed = self.links_by_context("cascade_id", cascade_id) + [
-                ln for ln in self.all_links() if ln.link_id == cascade_id
-            ]
+            doomed = self.links_by_context("cascade_id", cascade_id)
+            # Link ids are strings, so a non-str cascade id (any JSON
+            # context value) names no link; skip the hashed PK lookup.
+            if isinstance(cascade_id, str):
+                row = self.store.get(LINKS_TABLE, cascade_id)
+                if row is not None:
+                    doomed.append(Link.from_row(row))
             count = 0
             for link in doomed:
                 if self.has_link(link.link_id):
@@ -453,9 +479,17 @@ class SyDLinks:
     # -- op 6: link expiry ------------------------------------------------------------
 
     def expire_links(self, now: float | None = None) -> list[str]:
-        """Delete every owned link whose expiry has passed; returns ids."""
+        """Delete every owned link whose expiry has passed; returns ids.
+
+        Expired rows are picked by ``expires_at`` before rehydration, the
+        same test as :meth:`Link.is_expired`.
+        """
         now = self.clock.now() if now is None else now
-        doomed = [ln for ln in self.all_links() if ln.is_expired(now)]
+        doomed = [
+            Link.from_row(r)
+            for r in self.store.select(LINKS_TABLE)
+            if r["expires_at"] is not None and now >= r["expires_at"]
+        ]
         for link in doomed:
             if self.has_link(link.link_id):
                 self.delete_link(link.link_id, cascade=True)

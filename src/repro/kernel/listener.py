@@ -161,14 +161,17 @@ class SyDListener:
 
         With a tracer wired, dispatch re-enters the context stamped on
         the message, so everything below — including the dedup verdict —
-        lands as a child span of the caller's RPC span.
+        lands as a child span of the caller's RPC span. A disabled tracer
+        and an unstamped message skip both context managers: they would
+        only push and pop a NULL frame.
         """
-        if self.tracer is None:
+        tracer = self.tracer
+        if tracer is None or (not tracer.enabled and msg.trace is None):
             return self._dispatch(msg, NULL_SPAN)
         payload = msg.payload
         name = f"handle:{payload.get('object', '?')}.{payload.get('method', '?')}"
-        with self.tracer.activate(msg.trace):
-            with self.tracer.span(name, self.node_id, src=msg.src) as span:
+        with tracer.activate(msg.trace):
+            with tracer.span(name, self.node_id, src=msg.src) as span:
                 return self._dispatch(msg, span)
 
     def _dispatch(self, msg: Message, span) -> dict[str, Any]:
@@ -228,13 +231,24 @@ class SyDListener:
         fn = self.registry.lookup(object_name, method)
         if key is not None:
             self.effects[key] += 1
-            if self.tracer is not None:
+            # A disabled tracer has no context to name (the skipped
+            # handle span would have put a NULL frame on top).
+            if self.tracer is not None and self.tracer.enabled:
                 ctx = self.tracer.current_context()
                 if ctx is not None:
                     self.effect_traces[key] = ctx[0]
-        if self.metrics is not None:
-            with self.metrics.timer(self.node_id, f"kernel.dispatch.{method}"):
+        metrics = self.metrics
+        if metrics is not None:
+            # Inline MetricsRegistry.timer: same histogram and clock,
+            # observed on return and on raise, without a generator frame.
+            clock = metrics.clock
+            start = clock.now()
+            try:
                 result = fn(*args, **kwargs)
+            finally:
+                metrics.observe(
+                    self.node_id, f"kernel.dispatch.{method}", clock.now() - start
+                )
         else:
             result = fn(*args, **kwargs)
         self.invocations += 1

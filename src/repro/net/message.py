@@ -13,7 +13,10 @@ and the transport may pass the id as a ``(prefix, counter)`` pair so the
 ``"msg-1234"`` string is only formatted if something actually reads
 ``msg_id`` (error messages, chaos dup tracking, diagrams). Size
 estimation walks containers with an explicit stack instead of recursion,
-so deeply nested payloads cannot hit the interpreter recursion limit.
+so deeply nested payloads cannot hit the interpreter recursion limit. It
+sizes ASCII strings by ``len`` (UTF-8 length equals code-point count
+there) and encodes only non-ASCII ones, and it costs the scalar entries
+of every dict inline; there is no separate flat-dict pre-scan.
 """
 
 from __future__ import annotations
@@ -27,48 +30,43 @@ def estimate_size(value: Any) -> int:
     """Rough wire size in bytes of a JSON-like value.
 
     Iterative (explicit work stack) so arbitrarily deep payloads are
-    safe; byte totals are identical to the old recursive walk because
-    every node contributes a fixed local cost and addition commutes.
-    The branch chain tests exact types inline (no dispatch-table calls);
+    safe; every node contributes a fixed local cost and addition
+    commutes, so the total does not depend on visit order. A string
+    costs 2 plus its UTF-8 length; an exact ``str`` that
+    :meth:`str.isascii` (a constant-time flag check) has UTF-8 length
+    ``len(s)``, so only non-ASCII strings are encoded. Dict entries with
+    exact ``str`` keys and scalar values are costed inline instead of
+    being pushed on the stack; any other key or value is pushed. The
+    branch chain tests exact types inline (no dispatch-table calls);
     exact-type tests keep bool (an int subclass) in its own 1-byte
     branch, and subclasses of the builtin types fall through to the
-    isinstance ladder the recursive version used.
+    isinstance ladder and its ``repr`` fallback.
     """
-    if value.__class__ is dict:
-        # Fast pre-scan for the dominant shape: a flat dict with str keys
-        # and scalar values. Bails to the general walk (from scratch, so
-        # nothing is double-counted) on the first non-scalar entry.
-        total = 2
-        for k, v in value.items():
-            tv = v.__class__
-            if k.__class__ is str and (
-                tv is str or tv is int or tv is float or tv is bool or v is None
-            ):
-                total += 2 + len(k.encode("utf-8"))
-                if tv is str:
-                    total += 2 + len(v.encode("utf-8"))
-                elif tv is bool or v is None:
-                    total += 1
-                else:
-                    total += 8
-            else:
-                break
-        else:
-            return total
     total = 0
     stack = [value]
-    pop = stack.pop
     while stack:
-        v = pop()
+        v = stack.pop()
         t = v.__class__
-        if t is str:
-            total += 2 + len(v.encode("utf-8"))
+        if t is dict:
+            total += 2
+            for k, x in v.items():
+                if k.__class__ is str:
+                    total += 2 + (len(k) if k.isascii() else len(k.encode("utf-8")))
+                else:
+                    stack.append(k)
+                tx = x.__class__
+                if tx is str:
+                    total += 2 + (len(x) if x.isascii() else len(x.encode("utf-8")))
+                elif tx is int or tx is float:
+                    total += 8
+                elif x is None or tx is bool:
+                    total += 1
+                else:
+                    stack.append(x)
+        elif t is str:
+            total += 2 + (len(v) if v.isascii() else len(v.encode("utf-8")))
         elif t is int or t is float:
             total += 8
-        elif t is dict:
-            total += 2
-            stack.extend(v.keys())
-            stack.extend(v.values())
         elif v is None or t is bool:
             total += 1
         elif t is list or t is tuple:

@@ -69,6 +69,11 @@ class MetricsRegistry:
         #: virtual seconds per digest window
         self.digest_window = DIGEST_WINDOW
 
+    @property
+    def clock(self) -> VirtualClock:
+        """The virtual clock :meth:`timer` measures against."""
+        return self._clock
+
     # -- writers ---------------------------------------------------------
 
     def inc(self, node: str, name: str, value: float = 1) -> None:

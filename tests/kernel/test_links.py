@@ -1,8 +1,11 @@
 """Tests for SyDLinks — the six operations of paper §4.2."""
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from repro.kernel.linktypes import LinkRef, LinkSubtype, LinkType
+from repro import SyDWorld
+from repro.kernel.linktypes import Link, LinkRef, LinkSubtype, LinkType
 from repro.txn.coordinator import AND
 from repro.util.errors import UnknownLinkError
 
@@ -380,3 +383,162 @@ class TestRemoteFacade:
         )
         b.links.delete_link(blocking.link_id)
         assert a.links.get_link(mine.link_id).subtype is LinkSubtype.PERMANENT
+
+
+# -- filtered reads agree with the Link-level filters they replaced ---------------
+
+#: source entities every backend round-trips. FlatFileStore stores a JSON
+#: cell as ``json.dumps`` only for lists and dicts, so a bare str or tuple
+#: does not survive it; nested tuples come back as lists.
+COMMON_ENTITIES = [
+    None, 7, 7.0, True, {"day": 1, "hour": 2}, {"day": 1, "hour": (2, 3)},
+    [1, 2], [(1, 2)], [[1, 2]],
+]
+ENTITIES = {
+    "relational": COMMON_ENTITIES + ["s1", "s2", (1, 2)],
+    "list": COMMON_ENTITIES + ["s1", "s2", (1, 2)],
+    "flatfile": COMMON_ENTITIES,
+}
+QUERY_ENTITIES = ENTITIES["relational"] + [1, 1.5, False, {"day": 1, "hour": [2, 3]}]
+CTX_KEYS = ["meeting_id", "cascade_id"]
+CTX_VALUES = ["m1", "m2", 1, True, None, [1], (1,), {"x": 1}]
+TTLS = [None, 0.0, 5.0, 50.0]
+
+create_steps = st.tuples(
+    st.just("create"),
+    st.integers(0, 20),                                      # entity
+    st.dictionaries(st.sampled_from(CTX_KEYS), st.integers(0, len(CTX_VALUES) - 1), max_size=2),
+    st.sampled_from(TTLS),
+    st.booleans(),                                           # tentative
+    st.booleans(),                                           # waits on a live link
+    st.integers(0, 3),                                       # priority
+    st.booleans(),                                           # refs a peer
+    st.booleans(),                                           # negotiation
+)
+steps = st.lists(
+    st.one_of(
+        create_steps,
+        create_steps,
+        st.tuples(st.just("promote"), st.integers(0, 20)),
+        st.tuples(st.just("delete"), st.integers(0, 20), st.booleans()),
+    ),
+    min_size=1,
+    max_size=14,
+)
+
+
+def _old_links_for_entity(links, entity):
+    return [ln for ln in links.all_links() if ln.source_entity == entity]
+
+
+def _old_links_by_context(links, key, value):
+    return [ln for ln in links.all_links() if ln.context.get(key) == value]
+
+
+def _old_expired(links, now):
+    return [ln for ln in links.all_links() if ln.is_expired(now)]
+
+
+def _old_cascade_doomed(links, cascade_id):
+    return _old_links_by_context(links, "cascade_id", cascade_id) + [
+        ln for ln in links.all_links() if ln.link_id == cascade_id
+    ]
+
+
+def _live_ids(links):
+    return [ln.link_id for ln in links.all_links()]
+
+
+def _build(store_kind, plan):
+    world = SyDWorld(seed=3)
+    a = world.add_node("a", store_kind=store_kind)
+    world.add_node("b", store_kind=store_kind)
+    entities = ENTITIES[store_kind]
+    for step in plan:
+        live = _live_ids(a.links)
+        if step[0] == "create":
+            _, ent, ctx, ttl, tentative, waits, priority, peer, negotiation = step
+            refs = [LinkRef("a", "x", "res")] + ([LinkRef("b", "y", "res")] if peer else [])
+            wait_on = live[priority % len(live)] if waits and tentative and live else None
+            a.links.create_link(
+                LinkType.NEGOTIATION if negotiation else LinkType.SUBSCRIPTION,
+                refs,
+                subtype=LinkSubtype.TENTATIVE if tentative else LinkSubtype.PERMANENT,
+                source_entity=entities[ent % len(entities)],
+                constraint=AND if negotiation else None,
+                priority=priority,
+                ttl=ttl,
+                waiting_on=wait_on,
+                context={k: CTX_VALUES[v] for k, v in ctx.items()},
+            )
+        elif live and step[0] == "promote":
+            a.links.promote_link(live[step[1] % len(live)])
+        elif live and step[0] == "delete":
+            a.links.delete_link(live[step[1] % len(live)], cascade=step[2])
+    return world, a.links
+
+
+class _CountFromRow:
+    """Counts ``Link.from_row`` calls while installed."""
+
+    def __init__(self, mp):
+        self.calls = 0
+        original = Link.from_row
+
+        def counting(row):
+            self.calls += 1
+            return original(row)
+
+        mp.setattr(Link, "from_row", staticmethod(counting))
+
+
+@pytest.mark.parametrize("store_kind", ["relational", "flatfile", "list"])
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    plan=steps,
+    cascade_pick=st.integers(0, 40),
+    expire_offset=st.sampled_from([0.0, 4.9, 5.0, 50.0, 1e6]),
+)
+def test_filtered_reads_match_link_level_filters(store_kind, plan, cascade_pick, expire_offset):
+    world, links = _build(store_kind, plan)
+
+    for entity in QUERY_ENTITIES:
+        want = _old_links_for_entity(links, entity)
+        with pytest.MonkeyPatch.context() as mp:
+            count = _CountFromRow(mp)
+            got = links.links_for_entity(entity)
+        assert got == want
+        assert count.calls == len(got)
+    for key in CTX_KEYS + ["absent"]:
+        for value in CTX_VALUES + ["m3"]:
+            want = _old_links_by_context(links, key, value)
+            with pytest.MonkeyPatch.context() as mp:
+                count = _CountFromRow(mp)
+                got = links.links_by_context(key, value)
+            assert got == want
+            assert count.calls == len(got)
+
+    # cascade_delete deletes exactly the links the old scan named
+    candidates = ["m1", "m2", [1], 1, "nope"] + _live_ids(links)
+    cascade_id = candidates[cascade_pick % len(candidates)]
+    before = set(_live_ids(links))
+    want_deleted = {ln.link_id for ln in _old_cascade_doomed(links, cascade_id)}
+    assert links.cascade_delete(cascade_id, []) == len(want_deleted)
+    assert before - set(_live_ids(links)) == want_deleted
+
+    # expire_links returns (and deletes) the ids the old scan named, in order
+    now = world.now + expire_offset
+    before = set(_live_ids(links))
+    want_ids = [ln.link_id for ln in _old_expired(links, now)]
+    assert links.expire_links(now) == want_ids
+    assert before - set(_live_ids(links)) == set(want_ids)
+
+
+def test_expire_links_rehydrates_nothing_when_nothing_expired(trio):
+    links = trio["a"].links
+    for ttl in (None, 10.0, 20.0):
+        neg_link(trio["a"], ttl=ttl)
+    with pytest.MonkeyPatch.context() as mp:
+        count = _CountFromRow(mp)
+        assert links.expire_links(links.clock.now() + 1.0) == []
+    assert count.calls == 0

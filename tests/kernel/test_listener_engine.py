@@ -13,6 +13,7 @@ from repro.kernel.aggregate import (
     quorum,
     require_all,
 )
+from repro.obs.metrics import MetricsRegistry
 from repro.util.errors import (
     AuthenticationError,
     SlotUnavailableError,
@@ -231,3 +232,110 @@ class TestAuthentication:
         # _syd_links calls carry no app credentials but must work.
         rows = a.engine.execute("b", "_syd_links", "list_link_rows")
         assert rows == []
+
+
+class Timed(SyDDeviceObject):
+    """Handler that spends virtual time, timed by a reference registry's
+    ``MetricsRegistry.timer`` over exactly the interval the listener's
+    dispatch histogram should see."""
+
+    def __init__(self, name, clock, node_id, ref):
+        super().__init__(name)
+        self.clock = clock
+        self.node_id = node_id
+        self.ref = ref
+
+    @exported
+    def work(self, delay, fail=False):
+        with self.ref.timer(self.node_id, "kernel.dispatch.work"):
+            self.clock.advance(delay)
+            if fail:
+                raise SlotUnavailableError("busy")
+        return delay
+
+
+class _RecordingStack(list):
+    """Span stack that counts every push and pop."""
+
+    ops = 0
+
+    def append(self, item):
+        self.ops += 1
+        super().append(item)
+
+    def pop(self, *args):
+        self.ops += 1
+        return super().pop(*args)
+
+
+class TestDispatchObservability:
+    def test_disabled_tracer_dispatch_opens_no_span(self):
+        world = SyDWorld(seed=1, tracing=False)
+        users = setup_users(world, ["a", "b"])
+        tracer = world.tracer
+        started = []
+        start_span = tracer.start_span
+        tracer.start_span = lambda *a, **kw: started.append(a) or start_span(*a, **kw)
+        stack = tracer._stack = _RecordingStack()
+        listener_b = users["b"][0].listener
+        before = listener_b.invocations
+        assert users["a"][0].engine.execute("b", "echo", "ping", 1)["pong"] == 1
+        assert listener_b.invocations == before + 1
+        assert started == []
+        assert tracer._stack is stack and stack == [] and stack.ops == 0
+        assert tracer.spans() == []
+        assert listener_b.effect_traces == {}
+
+    def test_dispatch_paused_inside_open_span_names_no_trace(self):
+        world = SyDWorld(seed=1)
+        users = setup_users(world, ["a", "b"])
+        listener_b = users["b"][0].listener
+        users["a"][0].engine.execute("b", "echo", "ping", 1)
+        traced = dict(listener_b.effect_traces)
+        assert traced  # tracing on: the execution names its trace
+        with world.tracer.span("op", "a"):
+            world.tracer.enabled = False
+            users["a"][0].engine.execute("b", "echo", "ping", 2)
+            world.tracer.enabled = True
+        assert listener_b.effect_traces == traced
+
+    @pytest.mark.parametrize("tracing", [False, True])
+    def test_dispatch_histogram_matches_metrics_timer(self, tracing):
+        world = SyDWorld(seed=1, tracing=tracing)
+        a = world.add_node("a")
+        b = world.add_node("b")
+        ref = MetricsRegistry(world.clock)
+        b.listener.publish_object(
+            Timed("b_timed", world.clock, b.listener.node_id, ref), user_id="b", service="timed"
+        )
+        for delay in (0.0, 0.0004, 0.003, 0.75, 2.5):
+            assert a.engine.execute("b", "timed", "work", delay) == delay
+        for delay in (0.002, 1.3):
+            with pytest.raises(SlotUnavailableError):
+                a.engine.execute("b", "timed", "work", delay, fail=True)
+        node_id = b.listener.node_id
+        got = world.metrics.histogram(node_id, "kernel.dispatch.work")
+        want = ref.histogram(node_id, "kernel.dispatch.work")
+        assert got["count"] == want["count"] == 7
+        assert got == want
+
+    def test_tracing_enabled_mid_run_nests_handler_under_caller(self):
+        world = SyDWorld(seed=1, tracing=False)
+        users = setup_users(world, ["a", "b"])
+        a = users["a"][0]
+        a.engine.execute("b", "echo", "ping", 1)
+        tracer = world.tracer
+        assert tracer.spans() == []
+        tracer.enabled = True
+        with tracer.span("op", "a") as root:
+            a.engine.execute("b", "echo", "ping", 2)
+        spans = tracer.spans()
+        by_id = {s.span_id: s for s in spans}
+        [handle] = [s for s in spans if s.name == "handle:b_echo.ping"]
+        assert handle.node == users["b"][0].listener.node_id
+        assert handle.trace_id == root.trace_id
+        caller = by_id[handle.parent_id]
+        assert caller.name.startswith("rpc:") and caller.node == a.listener.node_id
+        while caller.parent_id is not None:
+            caller = by_id[caller.parent_id]
+        assert caller is root
